@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 perfbench/run.py --workload hits_tcp --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload hits_tcp --seed 1 --seconds 25 --trace 0
 
 Each run generates its inputs from ``--seed``, computes the expected class of
 every base problem with the reference kernel, sets up ``SETUPS`` times, and
@@ -10,9 +10,9 @@ sends a fixed number of requests (``--seconds`` times the workload's nominal
 rate, so a run lasts about ``--seconds`` on a 2-core host).  The last line of
 standard output is one JSON object; the lines before it name the machine and
 print every metric with its unit.  ``--trace 1`` reports the per-layer metrics
-of a traced pass over the first quarter of the stream instead, together with
-its overhead against an untraced pass over the same requests.  The exit code
-is 1 when any answer is wrong or a sanity check fails.  See
+of a traced pass over a quarter of the request count instead, together with
+its overhead against an untraced pass over as many requests of another seed.
+The exit code is 1 when any answer is wrong or a sanity check fails.  See
 ``perfbench/README.md`` for why each workload exists.
 """
 
@@ -37,7 +37,11 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 SETUPS = 5
-WATCHDOG_SECONDS = 170
+# A run is cut after WATCHDOG_BASE + WATCHDOG_PER_SECOND * --seconds.  The
+# slowest workload, cold_batch_tcp with its four servers, takes about 2.5 x
+# --seconds in all on a 2-core host; at --seconds 25 the limit is 170 s.
+WATCHDOG_BASE = 45
+WATCHDOG_PER_SECOND = 5
 # Nominal rates turn --seconds into a fixed request count: the count, not a
 # clock, ends a run, so every run of a seed sends identical traffic.  The
 # symmetric count is a whole number of blocks of its mix.  p99 needs at
@@ -45,11 +49,13 @@ WATCHDOG_SECONDS = 170
 NOMINAL = {
     # workload: (unit, units per second, stream, units per block)
     "hits_tcp": ("requests", 3400, inputs.hits_stream, 1),
-    "cold_batch_tcp": ("batches", 60, inputs.cold_stream, 1),
+    "cold_batch_tcp": ("batches", 35, inputs.cold_stream, 1),  # per server
     "symmetric_inline": ("requests", 58, inputs.symmetric_stream, inputs.SYMMETRIC_BLOCK_SIZE),
 }
 MIN_SAMPLES = 1000
-P99_SLICE = 1000  # answers per slice: ten beyond each slice's p99
+# The reference kernel is slow (about 10 s for the cold stream in one
+# process); two processes halve the time a run spends before its set-ups.
+ORACLE_PROCESSES = 2
 
 END_TO_END_UNITS = {
     "throughput_rps": "1/s",
@@ -93,21 +99,17 @@ PER_LAYER_UNITS = {
 
 def throughput(run: workloads.Run) -> float:
     """Correct answers per second over the run's fixed request count."""
-    return (len(run.latencies) - run.failed) / (run.ended - run.began)
+    return (len(run.latencies) - run.failed) / run.seconds
 
 
 def end_to_end(run: workloads.Run) -> dict:
-    """The six end-to-end metrics.  p99 is the median over consecutive
-    1000-answer slices, so one burst of host noise moves one slice only."""
+    """The six end-to-end metrics; p99 is the nearest-rank 99th percentile
+    over every answer of the run."""
     attempted = len(run.latencies)
-    slices = range(0, attempted - P99_SLICE + 1, P99_SLICE)
     return {
         "throughput_rps": throughput(run),
         "latency_p50_ms": statistics.median(run.latencies) * 1e3,
-        "latency_p99_ms": statistics.median(
-            tracing.p99(run.latencies[start : start + P99_SLICE]) for start in slices
-        )
-        * 1e3,
+        "latency_p99_ms": tracing.p99(run.latencies) * 1e3,
         "ok_ratio": (attempted - run.failed) / attempted,
         "setup_s": statistics.median(run.setups),
         "rss_mb": run.rss_mb,
@@ -130,39 +132,69 @@ def sanity_checks(workload: str, metrics: dict, items: int) -> list:
 
 
 def expected_classes(bases) -> list:
-    """Each base problem's class from the reference kernel (``oracle.py``)."""
-    oracle = subprocess.run(
-        [sys.executable, os.path.join(HERE, "oracle.py")],
-        input=json.dumps(bases),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(oracle.stdout)
+    """Each base problem's class from the reference kernel (``oracle.py``),
+    computed by ``ORACLE_PROCESSES`` processes over interleaved shares."""
+    oracles = [
+        subprocess.Popen(
+            [sys.executable, os.path.join(HERE, "oracle.py")],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(ORACLE_PROCESSES)
+    ]
+    try:
+        # Hand out every share before reading, so the oracles run side by side.
+        for index, oracle in enumerate(oracles):
+            oracle.stdin.write(json.dumps(bases[index::ORACLE_PROCESSES]))
+            oracle.stdin.close()
+        shares = [json.loads(oracle.stdout.read()) for oracle in oracles]
+        if any(oracle.wait() != 0 for oracle in oracles):
+            raise RuntimeError("the reference oracle failed")
+    finally:
+        for oracle in oracles:
+            if oracle.poll() is None:
+                oracle.kill()
+            oracle.wait()
+    classes = [None] * len(bases)
+    for index, share in enumerate(shares):
+        classes[index::ORACLE_PROCESSES] = share
+    return classes
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(NOMINAL))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, required=True)
+    parser.add_argument("--seconds", type=int, required=True, choices=range(1, 61),
+                        metavar="1..60")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)
 
 
-def _on_watchdog(signum, frame):
-    raise TimeoutError(f"benchmark run exceeded {WATCHDOG_SECONDS} s")
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
-    signal.signal(signal.SIGALRM, _on_watchdog)
-    signal.alarm(WATCHDOG_SECONDS)
+    limit = WATCHDOG_BASE + WATCHDOG_PER_SECOND * args.seconds
+
+    def on_watchdog(signum, frame):
+        raise TimeoutError(f"benchmark run exceeded {limit} s")
+
+    signal.signal(signal.SIGALRM, on_watchdog)
+    signal.alarm(limit)
     from repro.core.kernel import active_kernel
 
     unit, rate, make_stream, block = NOMINAL[args.workload]
     size = max(args.seconds * rate, MIN_SAMPLES if unit == "requests" else 0)
     size = -(-size // block) * block
+    if args.trace:
+        # A quarter of the count, twice: untraced for the overhead, then
+        # traced.  Spans stay in memory, so fewer requests keep them small.
+        # The untraced pass sends traffic of another seed (``~seed``), so the
+        # traced pass finds no process-wide cache of the program warm with
+        # its own requests.
+        size = max(block, size // 4 // block * block)
+        plain_stream = make_stream(~args.seed, size)
+        plain_expected = expected_classes(plain_stream.bases)
     stream = make_stream(args.seed, size)
     expected = expected_classes(stream.bases)
     run_workload = workloads.WORKLOADS[args.workload]
@@ -170,10 +202,7 @@ def main(argv=None) -> int:
     os.makedirs(workdir, exist_ok=True)
     try:
         if args.trace:
-            # A quarter of the stream, twice: untraced for the overhead, then
-            # traced.  Spans stay in memory, so fewer requests keep them small.
-            stream.timed = stream.timed[: max(block, size // 4 // block * block)]
-            plain = run_workload(stream, expected, workdir, 1, False)
+            plain = run_workload(plain_stream, plain_expected, workdir, 1, False)
             tracer = tracing.Tracer()
             tracing.install(tracer)
             run = run_workload(stream, expected, workdir, 1, True)

@@ -3,12 +3,14 @@
 Each workload drives the program from outside only: sessions from
 ``repro.api.connect`` and, for the TCP workloads, a ``python -m repro serve``
 subprocess (or :mod:`serve_traced` when spans are recorded).  A run sets up
-``setups`` times — spawn or open, connect, warm up — and keeps the last set-up
-for the timed requests, so ``setup_s`` can be reported as a median.
+``setups`` times — spawn or open, connect, warm up — so ``setup_s`` can be
+reported as a median.  The TCP workloads keep the last set-up for the timed
+requests; ``symmetric_inline`` times each set-up in a fresh process.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shutil
@@ -24,6 +26,11 @@ from inputs import Stream
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 HITS_CONNECTIONS = 2
+# Servers that each serve the whole cold stream in one run.  The cold p99 is
+# set by the server's full garbage collections, whose total length moves by
+# up to half from one server process to the next for the same stream; the
+# figures pool the answers of four servers, so no one of them sets p99.
+COLD_SERVERS = 4
 
 
 @dataclass
@@ -31,8 +38,8 @@ class Run:
     """What one workload run measured."""
 
     latencies: List[float] = field(default_factory=list)  # seconds, in answer order
-    began: float = 0.0  # perf_counter when the first request was sent
-    ended: float = 0.0  # perf_counter when the last answer arrived
+    began: float = 0.0  # perf_counter when the loop's first request was sent
+    seconds: float = 0.0  # from first request to last answer, summed over loops
     failed: int = 0
     warm_failed: int = 0
     setups: List[float] = field(default_factory=list)
@@ -159,7 +166,7 @@ def closed_loop(
         thread.join()
     answers = sorted((pair for out in records for pair in out), key=lambda pair: pair[1])
     run.latencies.extend(latency for latency, _done in answers)
-    run.ended = answers[-1][1]
+    run.seconds += answers[-1][1] - run.began
     return sum(failures)
 
 
@@ -182,7 +189,7 @@ def batch_loop(
             pass
         failures += len(batch) - received
         run.latencies.extend([perf_counter() - sent] * (len(batch) - received))
-    run.ended = perf_counter()
+    run.seconds += perf_counter() - run.began
     return failures
 
 
@@ -197,12 +204,14 @@ def _tcp_workload(
     traced: bool,
     connections: int,
     loop,
+    servers: int,
 ) -> Run:
+    """The last ``servers`` set-ups each serve the whole timed stream."""
     from repro.api import connect
 
     run = Run()
     for attempt in range(setups):
-        last = attempt == setups - 1
+        timed = attempt >= setups - servers
         spans_file = os.path.join(workdir, f"server-{attempt}.spans") if traced else None
         started = perf_counter()
         server = Server(os.path.join(workdir, f"serve-{traced:d}-{attempt}"), spans_file)
@@ -211,11 +220,11 @@ def _tcp_workload(
             sessions = [connect(server.endpoint) for _ in range(connections)]
             run.warm_failed += loop(sessions, stream.warm, expected, Run())
             run.setups.append(perf_counter() - started)
-            if last:
+            if timed:
                 begin = monotonic_ns()
-                run.failed = loop(sessions, stream.timed, expected, run)
+                run.failed += loop(sessions, stream.timed, expected, run)
                 run.window = (begin, monotonic_ns())
-                run.rss_mb = peak_rss_mb(server.process.pid)
+                run.rss_mb = max(run.rss_mb, peak_rss_mb(server.process.pid))
             server.stop(sessions[0])
         except BaseException:
             server.stop(None)  # a failing run does not wait on the service
@@ -229,7 +238,7 @@ def _tcp_workload(
 
 def hits_tcp(stream: Stream, expected: List[str], workdir: str, setups: int, traced: bool) -> Run:
     return _tcp_workload(
-        stream, expected, workdir, setups, traced, HITS_CONNECTIONS, closed_loop
+        stream, expected, workdir, setups, traced, HITS_CONNECTIONS, closed_loop, 1
     )
 
 
@@ -239,24 +248,37 @@ def cold_batch_tcp(
     def batches(sessions, requests, expected, run):
         return batch_loop(sessions[0], requests, expected, run)
 
-    return _tcp_workload(stream, expected, workdir, setups, traced, 1, batches)
+    return _tcp_workload(
+        stream, expected, workdir, setups, traced, 1, batches, COLD_SERVERS
+    )
 
 
 def symmetric_inline(
     stream: Stream, expected: List[str], workdir: str, setups: int, traced: bool
 ) -> Run:
+    """Set-ups each run cold in a fresh process (:mod:`setup_inline`); the
+    timed requests then go through a session of this process, warmed first."""
     from repro.api import connect
 
     run = Run()
-    for attempt in range(setups):
-        started = perf_counter()
-        with connect("local://inline") as session:
-            run.warm_failed += closed_loop([session], stream.warm, expected, Run())
-            run.setups.append(perf_counter() - started)
-            if attempt == setups - 1:
-                begin = monotonic_ns()
-                run.failed = closed_loop([session], stream.timed, expected, run)
-                run.window = (begin, monotonic_ns())
+    job = json.dumps({"warm": stream.warm, "expected": expected})
+    for _attempt in range(setups):
+        child = subprocess.run(
+            [sys.executable, os.path.join(HERE, "setup_inline.py")],
+            input=job,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        report = json.loads(child.stdout)
+        run.setups.append(report["setup_s"])
+        run.warm_failed += report["failed"]
+    with connect("local://inline") as session:
+        run.warm_failed += closed_loop([session], stream.warm, expected, Run())
+        begin = monotonic_ns()
+        run.failed = closed_loop([session], stream.timed, expected, run)
+        run.window = (begin, monotonic_ns())
     run.rss_mb = peak_rss_mb(os.getpid())
     return run
 
