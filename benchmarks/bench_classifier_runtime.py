@@ -75,7 +75,7 @@ def test_worker_backend_throughput(benchmark, backend_name):
 
     def cold_batch():
         scheduler = ClassificationScheduler(backend=backend)
-        return BatchClassifier(scheduler=scheduler).classify_many(problems)
+        return list(BatchClassifier(scheduler=scheduler).fan_out(problems))
 
     try:
         items = benchmark(cold_batch)
@@ -96,14 +96,14 @@ def test_warm_cache_latency(benchmark):
     problems = [random_problem(3, density=0.4, seed=seed) for seed in range(25)]
     classifier = BatchClassifier()
     cold_start = time.perf_counter()
-    classifier.classify_many(problems)
+    list(classifier.fan_out(problems))
     cold_seconds = time.perf_counter() - cold_start
 
     durations = []
 
     def warm_batch():
         round_start = time.perf_counter()
-        items = classifier.classify_many(problems)
+        items = list(classifier.fan_out(problems))
         durations.append(time.perf_counter() - round_start)
         return items
 

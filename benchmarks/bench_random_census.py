@@ -159,7 +159,7 @@ def test_parallel_census_speedup(benchmark):
 
     start = time.perf_counter()
     with BatchClassifier(backend="inline") as serial:
-        serial_items = serial.classify_many(problems)
+        serial_items = list(serial.fan_out(problems))
     serial_seconds = time.perf_counter() - start
     searches = serial.stats.full_searches
 
@@ -177,7 +177,7 @@ def test_parallel_census_speedup(benchmark):
         scheduler = ClassificationScheduler(
             cache=ClassificationCache(), backend=backend
         )
-        items = BatchClassifier(scheduler=scheduler).classify_many(problems)
+        items = list(BatchClassifier(scheduler=scheduler).fan_out(problems))
         durations.append(time.perf_counter() - round_start)
         return items
 

@@ -103,7 +103,7 @@ def landscape_census(
         for seed in range(count)
     ]
     counts: Counter = Counter()
-    for item in classifier.classify_many(problems):
+    for item in classifier.fan_out(problems):
         counts[item.result.complexity] += 1
     return dict(counts)
 

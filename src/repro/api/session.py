@@ -27,6 +27,7 @@ config's scheduling defaults, and validates request shape *before* dispatch
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from concurrent.futures import Future
@@ -45,16 +46,14 @@ from typing import (
     Union,
 )
 
-from ..core.cancellation import SearchInterrupted
-from ..core.parser import parse_problem
-from ..core.problem import LCLError, LCLProblem
-from ..engine.batch import BatchClassifier, PendingClassification
+from ..core.problem import LCLProblem
+from ..engine.batch import BatchClassifier, BatchItem, PendingClassification
 from ..engine.cache import ClassificationCache
 from ..engine.canonical import canonical_form
-from ..engine.serialization import problem_from_dict, problem_to_dict
+from ..engine.serialization import problem_from_spec, problem_to_dict
 from ..obs import build_registry, render_prometheus
 from ..obs.trace import DISABLED_TRACER, RequestTrace, Tracer
-from ..problems.random_problems import random_problem
+from ..problems.pools import census_draws, census_params
 from ..workers.scheduler import PRIORITIES
 from .config import MODE_LOCAL, MODE_TCP, SessionConfig, parse_endpoint
 from .errors import (
@@ -73,73 +72,55 @@ ProblemSpec = Union[LCLProblem, str, Mapping[str, Any]]
 paper-notation text, or a serialized problem dict."""
 
 
+@contextlib.contextmanager
+def _raising(error_type: Callable[[str], SessionError]) -> Iterator[None]:
+    """Re-raise the shared validators' ``ValueError`` as ``error_type``."""
+    try:
+        yield
+    except ValueError as error:
+        raise error_type(str(error)) from error
+
+
 def resolve_problem(spec: ProblemSpec, default_name: str = "<session>") -> LCLProblem:
     """Turn any accepted problem spec into an :class:`LCLProblem`.
 
-    Mirrors the service's validation (including its message shape,
-    ``bad problem: ...``) so a malformed spec fails identically on every
-    endpoint — it is rejected *here*, before any dispatch.
+    The service's resolver (:func:`~repro.engine.serialization.problem_from_spec`)
+    plus :class:`LCLProblem` objects, so a malformed spec fails with the same
+    ``bad problem: ...`` message on every endpoint — it is rejected *here*,
+    before any dispatch.
     """
-    try:
-        if isinstance(spec, LCLProblem):
-            return spec
-        if isinstance(spec, str):
-            return parse_problem(spec, name=default_name)
-        if isinstance(spec, Mapping):
-            return problem_from_dict(spec)
-    except (LCLError, ValueError, KeyError, TypeError) as error:
-        raise ProblemFormatError(f"bad problem: {error}") from error
-    raise ProblemFormatError(
-        "a problem must be paper-notation text, a serialized problem object, "
-        "or an LCLProblem"
-    )
+    if isinstance(spec, LCLProblem):
+        return spec
+    if not isinstance(spec, (str, Mapping)):
+        raise ProblemFormatError(
+            "a problem must be paper-notation text, a serialized problem object, "
+            "or an LCLProblem"
+        )
+    with _raising(ProblemFormatError):
+        return problem_from_spec(spec, default_name)
 
 
 def validate_census_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     """Validate a census parameter object; return its normalized echo form.
 
-    The same validation (and the same messages) as the service's ``census``/
-    ``warm`` handlers, applied client-side before any dispatch.
+    The service's validation (:func:`~repro.problems.pools.census_params`),
+    applied client-side before any dispatch.
     """
-    try:
-        labels = int(params.get("labels", 2))
-        delta = int(params.get("delta", 2))
-        density = float(params.get("density", 0.5))
-        count = int(params.get("count", 100))
-        seed = int(params.get("seed", 0))
-    except (TypeError, ValueError) as error:
-        raise RequestError(f"bad census parameter: {error}") from error
-    if count < 1:
-        raise RequestError("census requires count >= 1")
-    return {
-        "labels": labels,
-        "delta": delta,
-        "density": density,
-        "count": count,
-        "seed": seed,
-    }
+    with _raising(RequestError):
+        return census_params(params)
 
 
 def census_problems(params: Mapping[str, Any]) -> Tuple[List[LCLProblem], Dict[str, Any]]:
     """A census's problem list from its parameter object, plus the echo.
 
-    The same generation as the service's ``census``/``warm`` handlers:
+    The service's draws (:func:`~repro.problems.pools.census_draws`):
     ``seed + index`` per draw, so a local census and a remote census of
     equal parameters classify identical problems.  Remote drivers skip this
     and ship only the (validated) parameter object — the server generates
     the identical draws itself.
     """
     echo = validate_census_params(params)
-    problems = [
-        random_problem(
-            echo["labels"],
-            delta=echo["delta"],
-            density=echo["density"],
-            seed=echo["seed"] + index,
-        )
-        for index in range(echo["count"])
-    ]
-    return problems, echo
+    return census_draws(echo), echo
 
 
 class PendingOutcome:
@@ -248,14 +229,16 @@ class _LocalDriver:
 
     def _resolve(
         self,
-        pending: PendingClassification,
+        collect: Callable[[], BatchItem],
         trace: Optional[RequestTrace] = None,
     ) -> Outcome:
+        """Collect one item as an :class:`Outcome`, closing its trace."""
         try:
-            item = pending.result()
-        except SearchInterrupted:  # pragma: no cover - normally pre-converted
-            if trace is not None:
-                trace.finish("error")
+            item = collect()
+        except FuturesTimeoutError:
+            # "Not ready within the wait" is not an engine failure: let the
+            # standard TimeoutError through, identically to remote pendings.
+            # The submission (and its trace) keeps running — don't finish.
             raise
         except SessionError:
             if trace is not None:
@@ -279,8 +262,8 @@ class _LocalDriver:
             problem, priority=priority, deadline=deadline, trace=trace
         )
         return PendingOutcome(
-            result=lambda timeout=None: self._resolve_with_timeout(
-                pending, timeout, trace
+            result=lambda timeout=None: self._resolve(
+                lambda: pending.result(timeout=timeout), trace
             ),
             done=lambda: pending.done,
             cancel=lambda: self._cancel_pending(pending, trace),
@@ -299,33 +282,6 @@ class _LocalDriver:
             trace.finish("cancelled")
         return detached
 
-    def _resolve_with_timeout(
-        self,
-        pending: PendingClassification,
-        timeout: Optional[float],
-        trace: Optional[RequestTrace] = None,
-    ) -> Outcome:
-        try:
-            item = pending.result(timeout=timeout)
-        except FuturesTimeoutError:
-            # "Not ready within the wait" is not an engine failure: let the
-            # standard TimeoutError through, identically to remote pendings.
-            # The submission (and its trace) keeps running — don't finish.
-            raise
-        except SessionError:
-            if trace is not None:
-                trace.finish("error")
-            raise
-        except Exception as error:  # noqa: BLE001
-            if trace is not None:
-                trace.finish("error")
-            raise InternalError(f"{type(error).__name__}: {error}") from error
-        if trace is not None:
-            trace.finish(item.outcome)
-        return Outcome.from_batch_item(
-            item, request_id=trace.request_id if trace is not None else None
-        )
-
     def classify(
         self, problem: LCLProblem, priority: str, deadline: Optional[float]
     ) -> Outcome:
@@ -333,7 +289,7 @@ class _LocalDriver:
         pending = self.classifier.submit_item(
             problem, priority=priority, deadline=deadline, trace=trace
         )
-        return self._resolve(pending, trace)
+        return self._resolve(pending.result, trace)
 
     def iter_outcomes(
         self,
@@ -341,26 +297,12 @@ class _LocalDriver:
         priority: str,
         deadline: Optional[float],
     ) -> Iterator[Outcome]:
-        # Fan everything out up front (the pooled backends overlap searches),
-        # then stream outcomes in submission order as each future resolves.
         # One trace per item, like the service's per-item sub-traces.
-        submissions = []
-        for problem in problems:
-            trace = self._start_trace("classify_batch")
-            submissions.append(
-                (
-                    self.classifier.submit_item(
-                        problem, priority=priority, deadline=deadline, trace=trace
-                    ),
-                    trace,
-                )
-            )
-
-        def generate() -> Iterator[Outcome]:
-            for pending, trace in submissions:
-                yield self._resolve(pending, trace)
-
-        return generate()
+        traces = [self._start_trace("classify_batch") for _ in problems]
+        items = self.classifier.fan_out(
+            problems, priority=priority, deadline=deadline, traces=traces
+        )
+        return (self._resolve(items.__next__, trace) for trace in traces)
 
     def warm(
         self,
@@ -792,9 +734,10 @@ class ClassificationSession:
     ) -> Iterator[Outcome]:
         """Classify a stream of problems; yield outcomes in submission order.
 
-        All problems are resolved and submitted up front (so pooled and
-        remote endpoints overlap the searches), then outcomes stream as each
-        resolves.  ``deadline`` is a per-canonical-key search budget: a blown
+        All problems are resolved up front.  Pooled and remote endpoints
+        also submit them all up front (overlapping the searches), while
+        ``local://inline`` submits item by item; outcomes stream in order as
+        each resolves.  ``deadline`` is a per-canonical-key search budget: a blown
         key yields ``outcome="timeout"`` items while the rest completes.
         """
         priority, deadline = self._scheduling(priority, deadline, "batch")

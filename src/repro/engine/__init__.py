@@ -11,11 +11,12 @@ fleets of problems:
   file, sqlite-WAL, or memory-only), with hit/miss/eviction/flush
   statistics, optional TTL, write-behind persistence, and an optional LRU
   ``max_entries`` budget enforced in memory and on disk,
-* :mod:`repro.engine.batch` — :class:`BatchClassifier`, which deduplicates a
-  stream of problems by canonical key, routes unique representatives through
-  the single-flight scheduler of :mod:`repro.workers` (inline, thread-pool,
-  or process-pool execution), and translates cached results back through
-  each problem's label bijection,
+* :mod:`repro.engine.batch` — :class:`BatchClassifier`, which routes each
+  problem's canonical form through the single-flight scheduler of
+  :mod:`repro.workers` (inline, thread-pool, or process-pool execution; a
+  renaming orbit is searched once), translates cached results back through
+  each problem's label bijection, and fans batches out in order through one
+  cancellable :class:`~repro.engine.batch.BatchFanOut`,
 * :mod:`repro.engine.serialization` — dict/JSON round-tripping of problems
   and classification results, so results survive process boundaries and the
   on-disk cache.

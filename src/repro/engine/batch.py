@@ -5,16 +5,14 @@ certificate searches of :mod:`repro.core.classifier`.  Given a stream of
 problems it
 
 1. computes every problem's canonical form (:mod:`repro.engine.canonical`),
-2. deduplicates the stream by canonical key — one *representative* per
-   renaming orbit,
-3. routes representatives whose key is not already cached through a
-   :class:`~repro.workers.scheduler.ClassificationScheduler`, which executes
-   the full decision procedure on a pluggable worker backend (``inline``,
-   ``threads``, or ``processes`` — see :mod:`repro.workers`) with
-   single-flight deduplication against concurrently running searches,
-4. lets the scheduler store each fresh result in the cache *in canonical
+2. submits it to a :class:`~repro.workers.scheduler.ClassificationScheduler`,
+   which answers a cached key at once, joins a search already running for
+   the key (single flight), or else executes the full decision procedure on
+   a pluggable worker backend (``inline``, ``threads``, or ``processes`` —
+   see :mod:`repro.workers`) — so each renaming orbit is searched once,
+3. lets the scheduler store each fresh result in the cache *in canonical
    labels*, and
-5. answers every submitted problem by translating the cached canonical result
+4. answers every submitted problem by translating the cached canonical result
    back through that problem's own label bijection.
 
 Because results are stored in canonical labels and translated per caller, a
@@ -25,15 +23,17 @@ certificate label sets are the bijective image of the representative's.
 The classifier is safe to call from many threads at once (the service does):
 statistics are mutex-guarded, the cache locks internally, and the scheduler
 guarantees one search per canonical key however many callers race on it.
-:meth:`submit_item` exposes the asynchronous edge — submit now, fan work out,
-stream each :class:`BatchItem` as its future resolves.
+:meth:`submit_item` exposes the asynchronous edge — submit now, collect the
+:class:`BatchItem` when its future resolves — and :meth:`fan_out` is the one
+batch path built on it: every batch, census and service request streams its
+items, in submission order, through a :class:`BatchFanOut`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from ..core.cancellation import SearchInterrupted
 from ..core.complexity import ClassificationResult
@@ -111,12 +111,15 @@ class BatchStats:
         }
 
 
-def _key_counts(forms: Iterable[CanonicalForm]) -> Dict[str, int]:
-    """Occurrences of each canonical key in a batch."""
-    counts: Dict[str, int] = {}
-    for form in forms:
-        counts[form.key] = counts.get(form.key, 0) + 1
-    return counts
+def _interrupted_item(problem: LCLProblem, key: str, outcome: str) -> BatchItem:
+    """The answerless item of a submission that timed out or was cancelled."""
+    return BatchItem(
+        problem=problem,
+        canonical_key=key,
+        result=None,
+        from_cache=False,
+        outcome=outcome,
+    )
 
 
 def _item_from_payload(
@@ -167,12 +170,8 @@ class PendingClassification:
         try:
             payload = self.job.result(timeout=timeout)
         except SearchInterrupted as interrupted:
-            return BatchItem(
-                problem=self.form.problem,
-                canonical_key=self.form.key,
-                result=None,
-                from_cache=False,
-                outcome=interrupted.outcome,
+            return _interrupted_item(
+                self.form.problem, self.form.key, interrupted.outcome
             )
         return _item_from_payload(self.form, payload, from_cache=self.from_cache)
 
@@ -294,87 +293,25 @@ class BatchClassifier:
     # ------------------------------------------------------------------
     # Batch interface
     # ------------------------------------------------------------------
-    def classify_many(
+    def fan_out(
         self,
         problems: Iterable[LCLProblem],
         priority: str = DEFAULT_PRIORITY,
         deadline: Optional[float] = None,
-    ) -> List[BatchItem]:
-        """Classify a stream of problems, deduplicating by canonical form.
+        traces: Optional[Sequence[Any]] = None,
+    ) -> "BatchFanOut":
+        """Classify a stream of problems; iterate the items in submission order.
 
-        Results are returned in submission order.  Representatives missing
-        from the cache are all scheduled up front, so with a ``threads`` or
-        ``processes`` backend they run concurrently while this call waits.
-        ``deadline`` is a per-key budget in seconds: a representative whose
-        search exceeds it yields items with ``outcome="timeout"`` (for every
-        duplicate of that orbit) while the rest of the batch completes
-        normally.
+        On a pooled backend every problem is submitted before this returns,
+        so uncached searches overlap while the caller collects; a
+        synchronous backend submits each problem only when its item is
+        requested, so items stream between searches.  Duplicates of one
+        renaming orbit share a search (single flight) or hit the cache.
+        ``deadline`` bounds each submission: a blown one yields an
+        ``outcome="timeout"`` item while the rest completes normally.
+        ``traces`` gives one trace (or ``None``) per problem.
         """
-        forms = [canonical_form(problem) for problem in problems]
-        with self._stats_lock:
-            self.stats.submitted += len(forms)
-
-        # One scheduler submission per *distinct* key: the first occurrence
-        # decides hit or miss, duplicates within the batch count as hits.
-        # Payloads are captured from the job futures (not re-read from the
-        # cache afterwards) so that a tight ``max_entries`` budget evicting
-        # entries mid-batch cannot lose answers.
-        first_form_by_key: Dict[str, CanonicalForm] = {}
-        for form in forms:
-            first_form_by_key.setdefault(form.key, form)
-        jobs: Dict[str, ClassificationJob] = {
-            key: self.scheduler.submit(form, priority=priority, deadline=deadline)
-            for key, form in first_form_by_key.items()
-        }
-        searches = sum(1 for job in jobs.values() if job.kind == JOB_SCHEDULED)
-        with self._stats_lock:
-            self.stats.full_searches += searches
-
-        payload_by_key: Dict[str, Optional[Dict[str, Any]]] = {}
-        outcome_by_key: Dict[str, str] = {}
-        for key, job in jobs.items():
-            try:
-                payload_by_key[key] = job.result()
-            except SearchInterrupted as interrupted:
-                payload_by_key[key] = None
-                outcome_by_key[key] = interrupted.outcome
-        # Duplicate submissions of the same orbit are answered from the
-        # captured payloads; count them as hits only once their
-        # representative actually resolved (a timed-out orbit produced no
-        # answer, so its duplicates are not hits).
-        duplicate_hits = sum(
-            count - 1
-            for key, count in _key_counts(forms).items()
-            if count > 1 and payload_by_key[key] is not None
-        )
-        self.cache.add_hits(duplicate_hits)
-
-        items: List[BatchItem] = []
-        fresh_keys = {
-            key for key, job in jobs.items() if job.kind == JOB_SCHEDULED
-        }
-        for form in forms:
-            payload = payload_by_key[form.key]
-            if payload is None:
-                items.append(
-                    BatchItem(
-                        problem=form.problem,
-                        canonical_key=form.key,
-                        result=None,
-                        from_cache=False,
-                        outcome=outcome_by_key[form.key],
-                    )
-                )
-            else:
-                items.append(
-                    _item_from_payload(
-                        form,
-                        payload,
-                        from_cache=form.key not in fresh_keys,
-                    )
-                )
-            fresh_keys.discard(form.key)  # only the first occurrence is "fresh"
-        return items
+        return BatchFanOut(self, problems, priority, deadline, traces).start()
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -408,3 +345,92 @@ class BatchClassifier:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+class BatchFanOut(Iterator[BatchItem]):
+    """The items of one batch, in submission order, with :meth:`cancel`.
+
+    Built by :meth:`BatchClassifier.fan_out`.  Iterate from one thread at a
+    time; :meth:`cancel` may be called from any thread at any moment —
+    before :meth:`start`, while it submits, or between items.  Whatever it
+    races, every item ends ``ok``, ``timeout`` or ``cancelled``: submitted
+    items are detached from their searches, the rest are never submitted.
+    """
+
+    def __init__(
+        self,
+        classifier: BatchClassifier,
+        problems: Iterable[LCLProblem],
+        priority: str = DEFAULT_PRIORITY,
+        deadline: Optional[float] = None,
+        traces: Optional[Sequence[Any]] = None,
+    ) -> None:
+        self._classifier = classifier
+        self._problems = list(problems)
+        self._traces = list(traces) if traces is not None else [None] * len(self)
+        self._priority = priority
+        self._deadline = deadline
+        # One entry per submitted prefix item; None marks one skipped after
+        # a cancel.  Only the iterating thread appends; the lock orders each
+        # append against cancel()'s snapshot.
+        self._pendings: List[Optional[PendingClassification]] = []
+        self._lock = threading.Lock()
+        self._cancelled = False
+        self._next = 0
+
+    def __len__(self) -> int:
+        return len(self._problems)
+
+    def start(self) -> "BatchFanOut":
+        """Submit every item now, unless the backend is synchronous.
+
+        A synchronous backend runs the search inside ``submit_item``, so an
+        up-front fan-out would hold every item until the whole batch ran;
+        there each item is submitted by :meth:`__next__` instead.
+        """
+        if not self._classifier.scheduler.backend.synchronous:
+            while len(self._pendings) < len(self):
+                self._submit()
+        return self
+
+    def _submit(self) -> None:
+        """Submit the next item, or record it as skipped once cancelled."""
+        index = len(self._pendings)
+        with self._lock:
+            if self._cancelled:
+                self._pendings.append(None)
+                return
+        pending = self._classifier.submit_item(
+            self._problems[index],
+            priority=self._priority,
+            deadline=self._deadline,
+            trace=self._traces[index],
+        )
+        with self._lock:
+            self._pendings.append(pending)
+            cancelled = self._cancelled
+        if cancelled:  # the cancel's snapshot missed this submission
+            pending.cancel()
+
+    def cancel(self) -> int:
+        """Detach submitted items and skip the rest; return how many detached."""
+        with self._lock:
+            self._cancelled = True
+            pendings = [pending for pending in self._pendings if pending is not None]
+        return sum(1 for pending in pendings if pending.cancel())
+
+    def __next__(self) -> BatchItem:
+        index = self._next
+        if index == len(self):
+            raise StopIteration
+        if index == len(self._pendings):
+            self._submit()
+        self._next += 1
+        pending = self._pendings[index]
+        if pending is None:
+            problem = self._problems[index]
+            return _interrupted_item(
+                problem, canonical_form(problem).key, OUTCOME_CANCELLED
+            )
+        return pending.result()
+

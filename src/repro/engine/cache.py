@@ -223,6 +223,10 @@ class ClassificationCache:
         self._stored_at: Dict[str, float] = {}
         self._dirty: set = set()
         self._dead: set = set()
+        # Rows a running backend write has taken off _dirty/_dead.  They
+        # still count as pending until the write settles (_count_flush or
+        # _remark_pending); the I/O lock allows one write at a time.
+        self._in_flight = 0
         self._flush_cv = threading.Condition(threading.Lock())
         self._flusher: Optional[threading.Thread] = None
         self._closed = False
@@ -260,9 +264,12 @@ class ClassificationCache:
 
     @property
     def pending_dirty(self) -> int:
-        """Keys awaiting a write-behind flush (dirty upserts + deletions)."""
+        """Keys not yet durable: dirty upserts + deletions + a running write."""
         with self._lock:
-            return len(self._dirty) + len(self._dead)
+            return self._pending_locked()
+
+    def _pending_locked(self) -> int:
+        return len(self._dirty) + len(self._dead) + self._in_flight
 
     def info(self) -> Dict[str, Any]:
         """One JSON-friendly dict describing state + statistics.
@@ -277,7 +284,7 @@ class ClassificationCache:
                 "path": self.path,
                 "backend": self._backend.name,
                 "persistent": self._backend.persistent,
-                "dirty": len(self._dirty) + len(self._dead),
+                "dirty": self._pending_locked(),
                 "ttl_seconds": self.ttl_seconds,
                 "flush_interval": self.flush_interval,
                 "flush_max_dirty": self.flush_max_dirty,
@@ -422,16 +429,6 @@ class ClassificationCache:
             for key in list(self._entries):
                 self._drop_entry(key)
 
-    def add_hits(self, count: int) -> None:
-        """Count ``count`` extra hits under the cache lock.
-
-        For callers that answer duplicate submissions from captured payloads
-        instead of per-key lookups (``BatchClassifier.classify_many``); a bare
-        ``stats.hits += n`` from their thread would race the locked updates.
-        """
-        with self._lock:
-            self.stats.hits += count
-
     def reset_stats(self) -> None:
         """Zero the hit/miss/eviction/expiry/flush counters."""
         self.stats = CacheStats()
@@ -502,9 +499,22 @@ class ClassificationCache:
             for key, entry in self._entries.items()
         ]
 
+    def _take_backlog(self) -> List[str]:
+        """Hand the dirty/dead backlog to a starting write; return its deletes.
+
+        Lock must be held.  The taken rows stay in :attr:`pending_dirty`
+        until the write settles, so "pending 0" means "durable".
+        """
+        deletes = list(self._dead)
+        self._in_flight = len(self._dirty) + len(deletes)
+        self._dirty.clear()
+        self._dead.clear()
+        return deletes
+
     def _remark_pending(self, upserts, deletes) -> None:
         """Re-mark keys after a failed backend write so nothing is lost."""
         with self._lock:
+            self._in_flight = 0
             for key, _, _ in upserts:
                 if key in self._entries:
                     self._dirty.add(key)
@@ -514,6 +524,7 @@ class ClassificationCache:
 
     def _count_flush(self, written: int) -> None:
         with self._lock:
+            self._in_flight = 0
             self.stats.flushes += 1
             self.stats.flushed_entries += written
         self._last_flush = time.monotonic()
@@ -534,9 +545,7 @@ class ClassificationCache:
         with self._io_lock:
             with self._lock:
                 rows = self._snapshot_rows()
-                deletes = list(self._dead)
-                self._dirty.clear()
-                self._dead.clear()
+                deletes = self._take_backlog()
             try:
                 written = self._backend.write_snapshot(rows, deletes)
             except BaseException:
@@ -568,11 +577,9 @@ class ClassificationCache:
                     (key, self._entries[key], self._stored_at.get(key))
                     for key in dirty
                 ]
-                deletes = list(self._dead)
-                if not upserts and not deletes:
+                if not upserts and not self._dead:
                     return 0
-                self._dirty.clear()
-                self._dead.clear()
+                deletes = self._take_backlog()
 
             def snapshot():
                 # Lazy: only whole-file backends pay for the full snapshot,
@@ -609,9 +616,12 @@ class ClassificationCache:
             with self._lock:
                 rows = self._snapshot_rows()
                 entry_count = len(rows)
-                self._dirty.clear()
-                self._dead.clear()
-            self._backend.compact(rows)
+                deletes = self._take_backlog()
+            try:
+                self._backend.compact(rows)
+            except BaseException:
+                self._remark_pending(rows, deletes)
+                raise
             if self._backend.persistent:
                 self._count_flush(entry_count)
             return {

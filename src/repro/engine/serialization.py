@@ -28,7 +28,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..core.classifier import ClassificationArtifacts
 from ..core.complexity import ClassificationResult, ComplexityClass
 from ..core.configuration import Configuration, Label
-from ..core.problem import LCLProblem
+from ..core.parser import parse_problem
+from ..core.problem import LCLError, LCLProblem
 
 SCHEMA_VERSION = 1
 """Version tag embedded in serialized payloads (bumped on incompatible changes)."""
@@ -59,6 +60,26 @@ def problem_from_dict(payload: Mapping[str, Any]) -> LCLProblem:
         ],
         labels=payload["labels"],
         name=payload.get("name", ""),
+    )
+
+
+def problem_from_spec(spec: Any, default_name: str) -> LCLProblem:
+    """Resolve a request's problem: paper-notation text or a problem dict.
+
+    The one resolver behind the session and the service.  Raises
+    :class:`ValueError` with the message both report; a spec of neither
+    shape gets the service's wording (the session, which also accepts
+    :class:`LCLProblem` objects, words its own).
+    """
+    try:
+        if isinstance(spec, str):
+            return parse_problem(spec, name=default_name)
+        if isinstance(spec, Mapping):
+            return problem_from_dict(spec)
+    except (LCLError, ValueError, KeyError, TypeError) as error:
+        raise ValueError(f"bad problem: {error}") from error
+    raise ValueError(
+        "a problem must be paper-notation text or a serialized problem object"
     )
 
 

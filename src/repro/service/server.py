@@ -15,22 +15,26 @@ Batch and census requests *stream*: every classified problem is written as an
 followed by a terminal ``done`` frame with the request summary.  All searches
 execute through the single-flight :class:`~repro.workers.ClassificationScheduler`
 on a configurable worker backend (``--worker-backend inline|threads|processes``,
-``--workers N``): a batch's uncached representatives are fanned out up front
-and frames stream as each future resolves, independent problems from
-concurrent connections classify concurrently, and concurrent requests for the
-same uncached canonical key share exactly one search.  The process-wide work
-lock of protocol version 1 is gone — the cache and scheduler synchronize
-internally.  The ``warm`` operation pre-schedules a future batch or census's
-canonical keys so the shared cache is hot before the real request arrives.
+``--workers N``).  Every request runs through one engine fan-out
+(:meth:`~repro.engine.batch.BatchClassifier.fan_out`; a ``classify`` is a
+one-item fan-out): a pooled backend gets the whole batch submitted up front
+and frames stream as each future resolves, a synchronous backend classifies
+item by item.  Independent problems from concurrent connections classify
+concurrently, and concurrent requests for the same uncached canonical key
+share exactly one search.  The process-wide work lock of protocol version 1
+is gone — the cache and scheduler synchronize internally.  The ``warm``
+operation pre-schedules a future batch or census's canonical keys so the
+shared cache is hot before the real request arrives.
 
 Protocol version 3 exposes the scheduler's fairness controls: every
 scheduling operation accepts ``priority`` (``interactive`` > ``batch`` >
 ``warm``; per-op defaults match those classes) and ``deadline_ms`` (a per-
 canonical-key search budget — blown budgets stream as ``outcome: "timeout"``
-items instead of stalling the request), and the ``cancel`` operation detaches
-an in-flight request's searches when addressed — from a second connection —
-by its request id.  Interrupted searches release their workers and are never
-written to the cache.
+items instead of stalling the request), and the ``cancel`` operation cancels
+an in-flight request's fan-out when addressed — from a second connection —
+by its request id: submitted searches are detached, the rest never start.
+Interrupted searches release their workers and are never written to the
+cache.
 When the cache has a durable backend (a bare/``json:`` path or a
 ``sqlite:`` database — see :mod:`repro.engine.backends`) persistence is
 **write-behind**: stores mark keys dirty and a background flusher persists
@@ -52,17 +56,27 @@ import asyncio
 import contextlib
 import threading
 import time
-from typing import Any, Awaitable, Callable, Dict, IO, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    IO,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
-from ..core.parser import parse_problem
-from ..core.problem import LCLError, LCLProblem
-from ..engine.batch import BatchClassifier, BatchItem, PendingClassification
+from ..core.problem import LCLProblem
+from ..engine.batch import BatchClassifier, BatchFanOut, BatchItem
 from ..engine.cache import ClassificationCache
 from ..engine.canonical import canonical_form
-from ..engine.serialization import problem_from_dict, result_to_dict
+from ..engine.serialization import problem_from_spec, result_to_dict
 from ..obs import build_registry, render_prometheus
 from ..obs.trace import RequestTrace, Tracer, new_request_id
-from ..problems.random_problems import random_problem
+from ..problems.pools import census_draws, census_params
 from ..workers.backends import DEFAULT_WORKERS
 from ..workers.scheduler import PRIORITIES
 from .protocol import (
@@ -93,6 +107,15 @@ DEFAULT_CACHE_FLUSH_MAX_DIRTY = 64
 _SendFrame = Callable[[Dict[str, Any]], Awaitable[None]]
 
 
+@contextlib.contextmanager
+def _raising(code: str) -> Iterator[None]:
+    """Re-raise the shared validators' ``ValueError`` as a ``code`` error."""
+    try:
+        yield
+    except ValueError as error:
+        raise ProtocolError(code, str(error)) from error
+
+
 def item_payload(item: BatchItem) -> Dict[str, Any]:
     """The JSON-friendly ``data`` object of one classified problem.
 
@@ -121,27 +144,6 @@ def item_payload(item: BatchItem) -> Dict[str, Any]:
         "result": result_to_dict(item.result),
         "elapsed_ms": item.elapsed_seconds * 1000.0,
     }
-
-
-class _ActiveRequest:
-    """One in-flight streaming/classify request, addressable by ``cancel``.
-
-    ``pendings`` collects the scheduler submissions made for the request;
-    ``cancel_requested`` tells a sequentially-streaming handler (synchronous
-    backend) to stop submitting further items.  All mutation happens on the
-    service's event loop thread.
-    """
-
-    __slots__ = ("pendings", "cancel_requested")
-
-    def __init__(self) -> None:
-        self.pendings: List[PendingClassification] = []
-        self.cancel_requested = False
-
-    def cancel(self) -> int:
-        """Detach every live submission; return how many were detached."""
-        self.cancel_requested = True
-        return sum(1 for pending in self.pendings if pending.cancel())
 
 
 class ClassificationService:
@@ -190,8 +192,9 @@ class ClassificationService:
         )
         self.scheduler = self.classifier.scheduler
         # Spawn pool workers now (and detect a process pool degrading to
-        # inline execution) so the streaming strategy of `_stream_items`
-        # matches how searches will really run from the very first request.
+        # inline execution) so the fan-out strategy (submit up front, or
+        # item by item) matches how searches will really run from the very
+        # first request.
         self.scheduler.backend.probe()
         self.requests_served = 0
         self.started_at = time.monotonic()
@@ -206,10 +209,10 @@ class ClassificationService:
             lambda: self.requests_served,
             self.started_at,
         )
-        # In-flight requests addressable by `cancel`, keyed by request id.
+        # In-flight fan-outs addressable by `cancel`, keyed by request id.
         # Ids are client-chosen, so several connections may reuse one id;
         # cancel then targets all of them.  Only touched on the loop thread.
-        self._active_requests: Dict[Any, List[_ActiveRequest]] = {}
+        self._active_requests: Dict[Any, List[BatchFanOut]] = {}
         self._shutdown_event: Optional[asyncio.Event] = None
         self._writers: List[asyncio.StreamWriter] = []
         self._connection_tasks: "set" = set()
@@ -218,35 +221,42 @@ class ClassificationService:
     # ------------------------------------------------------------------
     # Engine access
     # ------------------------------------------------------------------
-    async def _classify(
+    async def _fan_out(
         self,
-        problem: LCLProblem,
-        priority: str = "interactive",
-        deadline: Optional[float] = None,
-        active: Optional[_ActiveRequest] = None,
-        trace: Optional[RequestTrace] = None,
-    ) -> BatchItem:
-        """Classify one problem off the event loop.
+        request: Request,
+        problems: List[LCLProblem],
+        priority: str,
+        deadline: Optional[float],
+        traces: List[Optional[RequestTrace]],
+        emit: Callable[[int, BatchItem], Awaitable[None]],
+    ) -> None:
+        """Classify ``problems`` through one engine fan-out; emit items in order.
 
         No global lock: the scheduler single-flights per canonical key, so
         concurrent connections classifying *different* problems proceed in
         parallel, and ones racing on the *same* problem share one search.
-        The submission is recorded on ``active`` (when given) before this
-        coroutine blocks, so a concurrent ``cancel`` can detach it.
+        The work runs off the event loop in two kinds of executor hop: one
+        starts the fan-out (a pooled backend submits every problem there, so
+        searches overlap) and one collects each item.  The fan-out is
+        addressable by ``cancel`` before it submits anything, so it settles
+        every cancel race itself.  Each item's trace closes once ``emit``
+        has sent the item.
         """
         loop = asyncio.get_running_loop()
-        pending = await loop.run_in_executor(
-            None,
-            lambda: self.classifier.submit_item(
-                problem, priority=priority, deadline=deadline, trace=trace
-            ),
-        )
-        if active is not None:
-            active.pendings.append(pending)
-            if active.cancel_requested:
-                # A cancel raced the submission: honor it now.
-                pending.cancel()
-        return await loop.run_in_executor(None, pending.result)
+        fan = BatchFanOut(self.classifier, problems, priority, deadline, traces)
+        entries = self._active_requests.setdefault(request.id, [])
+        entries.append(fan)
+        try:
+            await loop.run_in_executor(None, fan.start)
+            for seq, trace in enumerate(traces):
+                item = await loop.run_in_executor(None, fan.__next__)
+                await emit(seq, item)
+                if trace is not None:
+                    trace.finish(item.outcome)
+        finally:
+            entries.remove(fan)
+            if not entries:
+                self._active_requests.pop(request.id, None)
 
     @staticmethod
     def _request_options(
@@ -273,36 +283,6 @@ class ClassificationService:
             raise ProtocolError(ERROR_BAD_REQUEST, "deadline_ms must be positive")
         return priority, deadline_ms / 1000.0
 
-    @contextlib.contextmanager
-    def _track_active(self, request: Request):
-        """Register an in-flight request for ``cancel`` addressing."""
-        active = _ActiveRequest()
-        if request.id is not None:
-            self._active_requests.setdefault(request.id, []).append(active)
-        try:
-            yield active
-        finally:
-            if request.id is not None:
-                entries = self._active_requests.get(request.id, [])
-                if active in entries:
-                    entries.remove(active)
-                if not entries:
-                    self._active_requests.pop(request.id, None)
-
-    def _resolve_problem(self, spec: Any, default_name: str) -> LCLProblem:
-        """Turn a request's problem spec (text or dict) into an `LCLProblem`."""
-        try:
-            if isinstance(spec, str):
-                return parse_problem(spec, name=default_name)
-            if isinstance(spec, dict):
-                return problem_from_dict(spec)
-        except (LCLError, ValueError, KeyError, TypeError) as error:
-            raise ProtocolError(ERROR_BAD_PROBLEM, f"bad problem: {error}") from error
-        raise ProtocolError(
-            ERROR_BAD_PROBLEM,
-            "a problem must be paper-notation text or a serialized problem object",
-        )
-
     def _save_cache(self) -> bool:
         """Persist the shared cache when it has a backing path."""
         if not self.cache.path:
@@ -320,70 +300,53 @@ class ClassificationService:
         priority, deadline = self._request_options(
             request.params, default_priority="interactive"
         )
-        problem = self._resolve_problem(spec, default_name="<request>")
+        with _raising(ERROR_BAD_PROBLEM):
+            problem = problem_from_spec(spec, "<request>")
         # The trace is keyed by the *wire* request id, so the client that
         # sent this frame can fetch its span tree back with the `trace` op.
         trace = self.tracer.start("classify", request_id=request.id)
-        try:
-            with self._track_active(request) as active:
-                item = await self._classify(
-                    problem,
-                    priority=priority,
-                    deadline=deadline,
-                    active=active,
-                    trace=trace,
-                )
+
+        async def reply(_seq: int, item: BatchItem) -> None:
             await send(result_frame(request.id, item_payload(item)))
+
+        try:
+            await self._fan_out(
+                request, [problem], priority, deadline, [trace], reply
+            )
         except BaseException:
             if trace is not None:
                 trace.finish("error")
             raise
-        if trace is not None:
-            trace.finish(item.outcome)
         # Persistence is write-behind: the store marked the key dirty and
         # the cache's background flusher persists it (interval/count
         # thresholds), so mutating requests no longer rewrite the file.
 
-    async def _stream_items(
+    async def _stream_batch(
         self,
         request: Request,
         problems: List[LCLProblem],
         send: _SendFrame,
         priority: str,
         deadline: Optional[float],
-        active: _ActiveRequest,
     ) -> Dict[str, Any]:
         """Stream one ``item`` frame per problem; return the hit/miss summary.
 
-        All problems are submitted to the scheduler up front, so uncached
-        representatives fan out across the worker backend; frames are then
-        written in submission order as each future resolves, so a slow search
-        overlaps with everything behind it instead of serializing the stream.
-        ``deadline`` bounds each canonical key's search; expired or cancelled
-        keys stream as ``outcome: "timeout"``/``"cancelled"`` items while the
-        rest of the request completes normally.
-
-        A synchronous backend (``inline``, or a ``processes`` pool that
-        degraded to inline execution) runs each search *inside*
-        ``submit_item``, so the up-front fan-out would silently hold every
-        frame until the whole request finished; those configurations classify
-        problem by problem instead, streaming between searches exactly like
-        protocol v1 (there, a ``cancel`` skips the items not yet started but
-        cannot interrupt the search already running).
+        Frames go out in submission order as each item resolves (see
+        :meth:`_fan_out`).  ``deadline`` bounds each canonical key's search;
+        expired or cancelled keys stream as ``outcome: "timeout"``/
+        ``"cancelled"`` items while the rest of the request completes
+        normally.  On a synchronous backend (``inline``, or a ``processes``
+        pool that degraded to inline execution) a ``cancel`` skips the items
+        not yet started but cannot interrupt the search already running.
         """
-        loop = asyncio.get_running_loop()
+        outcomes = {"ok": 0, "timeout": 0, "cancelled": 0}
         hits = 0
-        timeouts = 0
-        cancelled = 0
 
-        def tally(item: BatchItem) -> None:
-            nonlocal hits, timeouts, cancelled
-            if item.outcome == "timeout":
-                timeouts += 1
-            elif item.outcome == "cancelled":
-                cancelled += 1
-            else:
-                hits += int(item.from_cache)
+        async def emit(seq: int, item: BatchItem) -> None:
+            nonlocal hits
+            outcomes[item.outcome] += 1
+            hits += int(item.from_cache)
+            await send(item_frame(request.id, seq, item_payload(item)))
 
         # Per-item traces under sub-ids "<request id>.<seq>", so any item of
         # a batch/census is individually retrievable via the `trace` op.
@@ -396,62 +359,18 @@ class ClassificationService:
             ]
         else:
             traces = [None] * len(problems)
-
-        if self.scheduler.backend.synchronous:
-            for seq, problem in enumerate(problems):
-                if active.cancel_requested:
-                    item = BatchItem(
-                        problem=problem,
-                        canonical_key=canonical_form(problem).key,
-                        result=None,
-                        from_cache=False,
-                        outcome="cancelled",
-                    )
-                else:
-                    item = await self._classify(
-                        problem,
-                        priority=priority,
-                        deadline=deadline,
-                        active=active,
-                        trace=traces[seq],
-                    )
-                tally(item)
-                await send(item_frame(request.id, seq, item_payload(item)))
-                if traces[seq] is not None:
-                    traces[seq].finish(item.outcome)
-        else:
-            pendings = await loop.run_in_executor(
-                None,
-                lambda: [
-                    self.classifier.submit_item(
-                        problem, priority=priority, deadline=deadline, trace=trace
-                    )
-                    for problem, trace in zip(problems, traces)
-                ],
-            )
-            active.pendings.extend(pendings)
-            if active.cancel_requested:
-                # A cancel raced the up-front fan-out: honor it now.
-                for pending in pendings:
-                    pending.cancel()
-            for seq, pending in enumerate(pendings):
-                item = await loop.run_in_executor(None, pending.result)
-                tally(item)
-                await send(item_frame(request.id, seq, item_payload(item)))
-                if traces[seq] is not None:
-                    traces[seq].finish(item.outcome)
-        count = len(problems)
+        await self._fan_out(request, problems, priority, deadline, traces, emit)
         # One denominator for the whole hit/miss story: the *completed*
         # items.  Interrupted items are neither hits nor misses, so
         # hits + misses == completed and hit_rate == hits / (hits + misses).
-        completed = count - timeouts - cancelled
+        completed = outcomes["ok"]
         return {
-            "count": count,
+            "count": len(problems),
             "cache_hits": hits,
             "cache_misses": completed - hits,
             "hit_rate": hits / completed if completed else 0.0,
-            "timeouts": timeouts,
-            "cancelled": cancelled,
+            "timeouts": outcomes["timeout"],
+            "cancelled": outcomes["cancelled"],
         }
 
     async def _handle_classify_batch(self, request: Request, send: _SendFrame) -> None:
@@ -466,49 +385,19 @@ class ClassificationService:
         )
         # Resolve everything up front so malformed input yields one error
         # frame instead of a half-finished stream.
-        problems = [
-            self._resolve_problem(spec, default_name=f"<request>#{index + 1}")
-            for index, spec in enumerate(specs)
-        ]
-        with self._track_active(request) as active:
-            summary = await self._stream_items(
-                request, problems, send, priority, deadline, active
-            )
+        with _raising(ERROR_BAD_PROBLEM):
+            problems = [
+                problem_from_spec(spec, f"<request>#{index + 1}")
+                for index, spec in enumerate(specs)
+            ]
+        summary = await self._stream_batch(request, problems, send, priority, deadline)
         summary["stats"] = self.classifier.stats_report()
         await send(done_frame(request.id, summary))
 
-    @staticmethod
-    def _census_problems(
-        params: Mapping[str, Any],
-    ) -> Tuple[List[LCLProblem], Dict[str, Any]]:
-        """Generate a census's problem list; return it with the echoed params."""
-        try:
-            labels = int(params.get("labels", 2))
-            delta = int(params.get("delta", 2))
-            density = float(params.get("density", 0.5))
-            count = int(params.get("count", 100))
-            seed = int(params.get("seed", 0))
-        except (TypeError, ValueError) as error:
-            raise ProtocolError(
-                ERROR_BAD_REQUEST, f"bad census parameter: {error}"
-            ) from error
-        if count < 1:
-            raise ProtocolError(ERROR_BAD_REQUEST, "census requires count >= 1")
-        problems = [
-            random_problem(labels, delta=delta, density=density, seed=seed + index)
-            for index in range(count)
-        ]
-        echo = {
-            "labels": labels,
-            "delta": delta,
-            "density": density,
-            "count": count,
-            "seed": seed,
-        }
-        return problems, echo
-
     async def _handle_census(self, request: Request, send: _SendFrame) -> None:
-        problems, echo_params = self._census_problems(request.params)
+        with _raising(ERROR_BAD_REQUEST):
+            echo_params = census_params(request.params)
+        problems = census_draws(echo_params)
         # A census is bulk background work: it defaults to the lowest
         # priority class so interactive classifies overtake its fan-out.
         priority, deadline = self._request_options(
@@ -524,10 +413,9 @@ class ClassificationService:
             counts[value] = counts.get(value, 0) + 1
             await send(frame)
 
-        with self._track_active(request) as active:
-            summary = await self._stream_items(
-                request, problems, send_and_tally, priority, deadline, active
-            )
+        summary = await self._stream_batch(
+            request, problems, send_and_tally, priority, deadline
+        )
         summary["counts"] = counts
         summary["params"] = echo_params
         summary["stats"] = self.classifier.stats_report()
@@ -569,17 +457,19 @@ class ClassificationService:
                 raise ProtocolError(
                     ERROR_BAD_REQUEST, "warm params.problems must be a non-empty list"
                 )
-            problems.extend(
-                self._resolve_problem(spec, default_name=f"<warm>#{index + 1}")
-                for index, spec in enumerate(specs)
-            )
+            with _raising(ERROR_BAD_PROBLEM):
+                problems.extend(
+                    problem_from_spec(spec, f"<warm>#{index + 1}")
+                    for index, spec in enumerate(specs)
+                )
         if census is not None:
             if not isinstance(census, dict):
                 raise ProtocolError(
                     ERROR_BAD_REQUEST, "warm params.census must be an object"
                 )
-            census_problems, _echo = self._census_problems(census)
-            problems.extend(census_problems)
+            with _raising(ERROR_BAD_REQUEST):
+                echo = census_params(census)
+            problems.extend(census_draws(echo))
         loop = asyncio.get_running_loop()
         summary = await loop.run_in_executor(
             None,
@@ -610,8 +500,9 @@ class ClassificationService:
         (cancellation is inherently racy, so a miss is not an error).  The
         ``cancelled`` count covers submissions detached *at response time*: a
         cancel that races the target's fan-out can report 0 yet still take
-        effect, because the target cancels late-recorded submissions itself
-        when it sees ``cancel_requested``.
+        effect, because the fan-out never submits its remaining items and
+        detaches any submission that was under way (see
+        :class:`~repro.engine.batch.BatchFanOut`).
         """
         target = request.params.get("request_id")
         if target is None:

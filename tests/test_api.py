@@ -104,7 +104,7 @@ class TestEndpointParsing:
 class TestOutcomeShape:
     def test_as_dict_matches_service_item_payload(self):
         with BatchClassifier() as classifier:
-            items = classifier.classify_many(seeded_problems(6, labels=2))
+            items = list(classifier.fan_out(seeded_problems(6, labels=2)))
         for item in items:
             assert Outcome.from_batch_item(item).as_dict() == item_payload(item)
 

@@ -280,7 +280,7 @@ class TestCacheEviction:
         """A budget smaller than the batch's distinct orbits loses no answers."""
         problems = [random_problem(2, density=0.5, seed=seed) for seed in range(40)]
         bounded = BatchClassifier(cache=ClassificationCache(max_entries=2))
-        items = bounded.classify_many(problems)
+        items = list(bounded.fan_out(problems))
         assert len(bounded.cache) <= 2
         assert [item.result.complexity for item in items] == [
             classify(problem).complexity for problem in problems
@@ -326,7 +326,7 @@ class TestBatchClassifier:
     def test_batch_matches_naive_classification(self):
         problems = [random_problem(2, density=0.5, seed=seed) for seed in range(80)]
         classifier = BatchClassifier()
-        items = classifier.classify_many(problems)
+        items = list(classifier.fan_out(problems))
         assert [item.result.complexity for item in items] == [
             classify(problem).complexity for problem in problems
         ]
@@ -335,7 +335,7 @@ class TestBatchClassifier:
         """Acceptance: >=5x fewer full searches on a 200-draw census."""
         problems = [random_problem(2, density=0.5, seed=seed) for seed in range(200)]
         classifier = BatchClassifier()
-        classifier.classify_many(problems)
+        list(classifier.fan_out(problems))
         stats = classifier.stats
         assert stats.submitted == 200
         assert stats.full_searches * 5 <= stats.submitted, stats.as_dict()
@@ -348,7 +348,7 @@ class TestBatchClassifier:
             catalog()["mis"][0],
         ]
         classifier = BatchClassifier()
-        items = classifier.classify_many(problems)
+        items = list(classifier.fan_out(problems))
         assert items[0].result.complexity is ComplexityClass.CONSTANT
         assert items[1].result.complexity is ComplexityClass.POLYNOMIAL
         assert items[2].result.complexity is ComplexityClass.CONSTANT
@@ -359,8 +359,8 @@ class TestBatchClassifier:
         problems = [random_problem(3, density=0.25, seed=seed) for seed in range(12)]
         serial = BatchClassifier()
         parallel = BatchClassifier(processes=2)
-        serial_items = serial.classify_many(problems)
-        parallel_items = parallel.classify_many(problems)
+        serial_items = list(serial.fan_out(problems))
+        parallel_items = list(parallel.fan_out(problems))
         assert [item.result for item in serial_items] == [
             item.result for item in parallel_items
         ]
@@ -370,12 +370,12 @@ class TestBatchClassifier:
         problems = [random_problem(2, density=0.5, seed=seed) for seed in range(30)]
 
         first = BatchClassifier(cache=ClassificationCache(path=str(path)))
-        first_items = first.classify_many(problems)
+        first_items = list(first.fan_out(problems))
         first.cache.save()
         assert first.stats.full_searches > 0
 
         second = BatchClassifier(cache=ClassificationCache(path=str(path)))
-        second_items = second.classify_many(problems)
+        second_items = list(second.fan_out(problems))
         assert second.stats.full_searches == 0
         assert [item.result.complexity for item in first_items] == [
             item.result.complexity for item in second_items

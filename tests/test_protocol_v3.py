@@ -8,6 +8,7 @@ import pytest
 from repro.core import classify
 from repro.engine import problem_to_dict
 from repro.problems import hard_problem
+from repro.problems.pools import distinct_forms
 from repro.problems.random_problems import random_problem
 from repro.service import ServiceClient, ServiceError, ThreadedService
 from repro.service.protocol import OPERATIONS, PROTOCOL_VERSION
@@ -201,6 +202,41 @@ class TestCancel:
         assert outcomes[0] in ("ok", "cancelled")
         summary = frames[-1]["data"]
         assert summary["cancelled"] == outcomes.count("cancelled")
+
+    def test_cancel_of_an_inline_batch_skips_the_unstarted_items(self):
+        """On the synchronous inline backend a batch submits item by item:
+        a cancel after the first item frame lets the running search finish
+        and streams every later item as cancelled, with a consistent summary."""
+        specs = [
+            problem_to_dict(form.problem)
+            for form in distinct_forms(3, labels=2, density=0.5)
+        ]
+        slow = problem_to_dict(hard_problem(9))  # about a second inline
+        problems = [specs[0], slow, specs[1], specs[2]]
+        with ThreadedService(backend="inline") as address:
+            with ServiceClient.connect_tcp(*address) as client:
+                request_id = client._send_request(
+                    "classify_batch", {"problems": problems}
+                )
+                frames = client.frames(request_id)
+                first = next(frames)
+                _cancel_until_found(address, request_id)
+                frames = [first, *frames]
+                stats = client.stats()
+        kinds = [frame["type"] for frame in frames]
+        assert kinds == ["item"] * len(problems) + ["done"]
+        assert [frame["seq"] for frame in frames[:-1]] == list(range(len(problems)))
+        outcomes = [frame["data"]["outcome"] for frame in frames[:-1]]
+        assert outcomes[0] == "ok"
+        # The running search cannot be interrupted inline; the rest never start.
+        assert outcomes[1] in ("ok", "cancelled")
+        assert outcomes[2:] == ["cancelled", "cancelled"]
+        summary = frames[-1]["data"]
+        assert summary["count"] == len(problems)
+        assert summary["cancelled"] == outcomes.count("cancelled")
+        assert summary["timeouts"] == 0
+        assert summary["cache_hits"] + summary["cache_misses"] == outcomes.count("ok")
+        assert stats["workers"]["flights"] == outcomes.count("ok")
 
     def test_workers_stats_report_cancellations(self):
         spec = problem_to_dict(hard_problem(12))

@@ -628,14 +628,19 @@ class TestDeadlinesAndCancellation:
 
         hard = hard_problem(12)
         with BatchClassifier(backend="threads", workers=2) as classifier:
-            items = classifier.classify_many([hard, hard], deadline=0.2)
+            items = list(classifier.fan_out([hard, hard], deadline=0.2))
             hits_after_timeout = classifier.cache_stats.hits
-            # Positive control: duplicates of a *completed* orbit are hits.
+            shared_before = hits_after_timeout + classifier.scheduler.stats.deduped
+            # Positive control: the duplicate of a *completed* orbit shares
+            # its search (a scheduler dedup) or hits the cache.
             easy = catalog()["mis"][0]
-            classifier.classify_many([easy, easy])
+            list(classifier.fan_out([easy, easy]))
+            shared_after = (
+                classifier.cache_stats.hits + classifier.scheduler.stats.deduped
+            )
         assert [item.outcome for item in items] == ["timeout", "timeout"]
         assert hits_after_timeout == 0
-        assert classifier.cache_stats.hits == 1  # the easy duplicate only
+        assert shared_after - shared_before == 1  # the easy duplicate only
 
     def test_process_backend_hard_kills_a_deadlined_search(self):
         """The process backend terminates a search that never checkpoints."""
@@ -762,7 +767,7 @@ class TestClassifierBackends:
     def test_every_backend_agrees_with_direct_classification(self, backend):
         problems = [random_problem(3, density=0.25, seed=seed) for seed in range(10)]
         with BatchClassifier(backend=backend, workers=2) as classifier:
-            items = classifier.classify_many(problems)
+            items = list(classifier.fan_out(problems))
         assert [item.result.complexity for item in items] == [
             classify(problem).complexity for problem in problems
         ]
